@@ -29,7 +29,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "write machine-readable JSON to stdout instead of tables (the stats schema matches what smid serves)")
 	ranks := flag.String("ranks", "", "comma-separated rank counts for rank sweeps (e.g. 8,16,32,64)")
 	workload := flag.String("workload", "", "restrict multi-workload experiments to one workload (e.g. stencil, bcast)")
-	shards := flag.Int("shards", 0, "shard count for the sharded-scheduler rows of rank sweeps (0 = experiment default)")
+	shards := flag.Int("shards", 0, "shard-adaptive worker slots for the sharded rows of rank sweeps and ablate-faults (0 = experiment default)")
 	transportFlag := flag.String("transport", "", "restrict the transport ablation to one transport (sender-driven, receiver-driven; empty = both)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the experiment runs to this file")

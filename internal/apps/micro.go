@@ -101,7 +101,7 @@ type NetConfig struct {
 	// Scheduler selects the simulator's scheduling mode (default
 	// sim.SchedEvent); cycle counts are identical in all modes.
 	Scheduler sim.SchedulerKind
-	// Shards partitions the ranks into engine shards (see
+	// Shards is the shard-adaptive worker-slot count (see
 	// smi.Config.Shards); 0 keeps the single-engine build.
 	Shards int
 	// Routes supplies precomputed routing tables (see smi.Config.Routes).

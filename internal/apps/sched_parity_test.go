@@ -11,10 +11,9 @@ import (
 )
 
 // schedVariants is the scheduler matrix every parity workload runs
-// under: the dense reference scan, the activity-set event scheduler, the
-// fixed-window sharded scheduler (4 shards over 8 ranks), and the
-// adaptive-lookahead scheduler (one engine per rank, 4 worker slots,
-// deterministic stealing). All four must be bit-identical in cycle
+// under: the dense reference scan, the activity-set event scheduler, and
+// the adaptive-lookahead scheduler (one engine per rank, 4 worker slots,
+// deterministic stealing). All three must be bit-identical in cycle
 // counts and outputs.
 var schedVariants = []struct {
 	name   string
@@ -23,15 +22,14 @@ var schedVariants = []struct {
 }{
 	{"dense", sim.SchedDense, 0},
 	{"event", sim.SchedEvent, 0},
-	{"shard", sim.SchedShard, 4},
 	{"shard-adaptive", sim.SchedShardAdaptive, 4},
 }
 
 // TestSchedulerParity is the scheduler acceptance gate: every workload
 // must finish at the identical cycle under the dense reference scan, the
-// activity-set scheduler, and the sharded parallel scheduler, with
+// activity-set scheduler, and the shard-adaptive scheduler, with
 // bit-identical outputs where the workload produces data. The event runs
-// must also actually skip cycles, and the shard runs must actually run
+// must also actually skip cycles, and the sharded runs must actually run
 // sharded (shards recorded, barriers counted) — schedulers that
 // degenerate to dense would pass the equality checks while delivering
 // none of the speedup.
@@ -89,17 +87,14 @@ func TestSchedulerParity(t *testing.T) {
 				t.Errorf("%s finished at cycle %d, dense at %d", schedVariants[i].name, results[i].Cycles, results[0].Cycles)
 			}
 		}
-		for i, want := range []string{"dense", "event", "shard", "shard-adaptive"} {
+		for i, want := range []string{"dense", "event", "shard-adaptive"} {
 			if got := results[i].Net.Sched.Scheduler; got != want {
 				t.Errorf("scheduler label %d: %q, want %q", i, got, want)
 			}
 		}
-		if sh := results[2].Net.Sched; sh.Shards != 4 || sh.Syncs == 0 || len(sh.PerShard) != 4 {
-			t.Errorf("shard run did not run sharded: shards=%d syncs=%d pershard=%d", sh.Shards, sh.Syncs, len(sh.PerShard))
-		}
 		// The adaptive run reports one row per worker slot and counts the
 		// per-engine windows it executed.
-		if sh := results[3].Net.Sched; sh.Shards != 4 || sh.Syncs == 0 || len(sh.PerShard) != 4 || sh.Windows == 0 {
+		if sh := results[2].Net.Sched; sh.Shards != 4 || sh.Syncs == 0 || len(sh.PerShard) != 4 || sh.Windows == 0 {
 			t.Errorf("adaptive run did not run sharded: shards=%d syncs=%d pershard=%d windows=%d",
 				sh.Shards, sh.Syncs, len(sh.PerShard), sh.Windows)
 		}
@@ -150,11 +145,9 @@ func TestSchedulerParity(t *testing.T) {
 				if variant.name == "faulty" {
 					// The PR 5 reliable-forces-one-shard guard is gone:
 					// fault-injected clusters must actually shard.
-					for _, i := range []int{2, 3} {
-						if sh := results[i].Net.Sched; sh.Shards != 4 || sh.Syncs == 0 {
-							t.Errorf("%s %s: reliable cluster fell back to one shard: shards=%d syncs=%d",
-								mode, schedVariants[i].name, sh.Shards, sh.Syncs)
-						}
+					if sh := results[2].Net.Sched; sh.Shards != 4 || sh.Syncs == 0 {
+						t.Errorf("%s %s: reliable cluster fell back to one shard: shards=%d syncs=%d",
+							mode, schedVariants[2].name, sh.Shards, sh.Syncs)
 					}
 				}
 			}
@@ -257,30 +250,17 @@ func TestSchedulerParity(t *testing.T) {
 	})
 }
 
-// TestShardSmoke64 is the CI race-detector gate: a 64-rank torus split
-// into 4 parallel shards must match the dense single-engine run cycle
-// for cycle. Gated behind SMI_SHARD_SMOKE=1 because 64 ranks is slow
-// under -race; the shard-smoke CI job enables it.
-func TestShardSmoke64(t *testing.T) {
-	if os.Getenv("SMI_SHARD_SMOKE") != "1" {
-		t.Skip("set SMI_SHARD_SMOKE=1 to run the 64-rank shard smoke test")
-	}
-	shardSmoke64(t, sim.SchedShard)
-}
-
-// TestStealSmoke64 is the adaptive twin of TestShardSmoke64: 64 engines
-// (one per rank) multiplexed onto 4 worker slots with deterministic
+// TestStealSmoke64 is the CI race-detector gate: 64 engines (one per
+// rank) multiplexed onto 4 worker slots with deterministic
 // work-stealing, under fault injection so the reliable links' repair
 // machinery runs while ranks migrate between workers. Digest (cycles +
-// delivered packets) must match the dense reference bit for bit.
+// delivered packets) must match the dense reference bit for bit. Gated
+// behind SMI_SHARD_SMOKE=1 because 64 ranks is slow under -race; the
+// shard-adaptive-smoke CI job enables it.
 func TestStealSmoke64(t *testing.T) {
 	if os.Getenv("SMI_SHARD_SMOKE") != "1" {
 		t.Skip("set SMI_SHARD_SMOKE=1 to run the 64-rank steal smoke test")
 	}
-	shardSmoke64(t, sim.SchedShardAdaptive)
-}
-
-func shardSmoke64(t *testing.T, kind sim.SchedulerKind) {
 	topo, err := topology.Torus2D(8, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +269,7 @@ func shardSmoke64(t *testing.T, kind sim.SchedulerKind) {
 		Faults: &fault.Spec{Seed: 11, DropProb: 0.0005}}
 
 	sh := base
-	sh.Scheduler, sh.Shards = kind, 4
+	sh.Scheduler, sh.Shards = sim.SchedShardAdaptive, 4
 	shard, err := BcastTime(sh, 64, 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -309,18 +289,16 @@ func shardSmoke64(t *testing.T, kind sim.SchedulerKind) {
 	if shard.Net.PacketsDelivered != dense.Net.PacketsDelivered {
 		t.Errorf("shard run delivered %d packets, dense %d", shard.Net.PacketsDelivered, dense.Net.PacketsDelivered)
 	}
-	if st := shard.Net.Sched; st.Shards != 4 || st.Syncs == 0 {
+	st := shard.Net.Sched
+	if st.Shards != 4 || st.Syncs == 0 {
 		t.Errorf("shard run did not run sharded: shards=%d syncs=%d", st.Shards, st.Syncs)
 	}
-	if kind == sim.SchedShardAdaptive {
-		st := shard.Net.Sched
-		if st.Windows == 0 {
-			t.Errorf("adaptive run executed no windows: %+v", st)
-		}
-		t.Logf("adaptive 64-rank run: syncs=%d windows=%d steals=%d", st.Syncs, st.Windows, st.Steals)
-		if st.Steals == 0 {
-			t.Error("64 engines on 4 workers under a broadcast hotspot rebalanced nothing: the stealing rule never fired")
-		}
+	if st.Windows == 0 {
+		t.Errorf("adaptive run executed no windows: %+v", st)
+	}
+	t.Logf("adaptive 64-rank run: syncs=%d windows=%d steals=%d", st.Syncs, st.Windows, st.Steals)
+	if st.Steals == 0 {
+		t.Error("64 engines on 4 workers under a broadcast hotspot rebalanced nothing: the stealing rule never fired")
 	}
 }
 

@@ -32,7 +32,7 @@ type SummaConfig struct {
 	// Scheduler selects the simulator's scheduling mode (default
 	// sim.SchedEvent); cycle counts are identical in all modes.
 	Scheduler sim.SchedulerKind
-	// Shards partitions the ranks into engine shards (see
+	// Shards is the shard-adaptive worker-slot count (see
 	// smi.Config.Shards); 0 keeps the single-engine build.
 	Shards int
 }

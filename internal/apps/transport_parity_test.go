@@ -10,8 +10,8 @@ import (
 	"repro/internal/transport"
 )
 
-// TestTransportSchedulerParity extends the four-way scheduler parity
-// matrix (dense/event/shard/shard-adaptive) to the receiver-driven
+// TestTransportSchedulerParity extends the three-way scheduler parity
+// matrix (dense/event/shard-adaptive) to the receiver-driven
 // transport: the pacing kernels keep all state engine-local and read
 // only committed FIFO state, so cycle counts, packet counts, grant
 // counts, and per-flow completions must be bit-identical under every
@@ -86,7 +86,7 @@ func TestTransportSchedulerParity(t *testing.T) {
 		if results[0].Net.Grants == 0 {
 			t.Error("20000 elements through a 256-element buffer issued no grants")
 		}
-		// The shard legs must actually shard.
+		// The shard-adaptive leg must actually shard.
 		if sh := results[2].Net.Sched; sh.Shards != 4 || sh.Syncs == 0 {
 			t.Errorf("shard run did not run sharded: shards=%d syncs=%d", sh.Shards, sh.Syncs)
 		}

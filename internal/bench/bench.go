@@ -22,8 +22,9 @@ type Options struct {
 	// Workload restricts multi-workload experiments (the scaling
 	// experiment) to one workload; empty means all.
 	Workload string
-	// Shards overrides the shard count of the sharded-scheduler rows in
-	// rank sweeps (0 = the experiment's default of 4).
+	// Shards overrides the shard-adaptive worker-slot count of the
+	// sharded rows in rank sweeps (0 = the experiment's default of 4)
+	// and shards the multi-rank ablate-faults scenarios.
 	Shards int
 	// Transport restricts the transport ablation to one transport
 	// ("sender-driven" or "receiver-driven"); empty measures both.

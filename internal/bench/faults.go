@@ -51,7 +51,7 @@ func ablateFaults(opts Options) (*Report, error) {
 	shards := opts.Shards
 	sched := sim.SchedEvent
 	if shards > 1 {
-		sched = sim.SchedShard
+		sched = sim.SchedShardAdaptive
 	}
 	shardedStats := func(label string, st smi.Stats) error {
 		if shards > 1 && (st.Sched.Shards != shards || st.Sched.Syncs == 0) {

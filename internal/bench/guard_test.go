@@ -33,7 +33,7 @@ func TestFaultsBenchHonorsShards(t *testing.T) {
 
 // TestScalingRowsRecordHost checks the provenance fields of the
 // BENCH_scaling.json document: every row must say what parallel
-// hardware produced it, and the sharded schedulers must cover the
+// hardware produced it, and the shard-adaptive rows must cover the
 // GOMAXPROCS axis.
 func TestScalingRowsRecordHost(t *testing.T) {
 	r := runQuick(t, "scaling")
@@ -58,11 +58,10 @@ func TestScalingRowsRecordHost(t *testing.T) {
 			t.Errorf("adaptive row %s/%d opened no lookahead windows", row.Workload, row.Ranks)
 		}
 	}
-	for _, kind := range []string{sim.SchedShard.String(), sim.SchedShardAdaptive.String()} {
-		for _, gmp := range scalingGoMaxProcs {
-			if !gmps[kind][gmp] {
-				t.Errorf("no %s row measured at GOMAXPROCS=%d (have %v)", kind, gmp, gmps[kind])
-			}
+	kind := sim.SchedShardAdaptive.String()
+	for _, gmp := range scalingGoMaxProcs {
+		if !gmps[kind][gmp] {
+			t.Errorf("no %s row measured at GOMAXPROCS=%d (have %v)", kind, gmp, gmps[kind])
 		}
 	}
 }
@@ -150,7 +149,6 @@ func TestScalingRegressionGuard(t *testing.T) {
 	}
 	kinds := map[string]sim.SchedulerKind{
 		sim.SchedEvent.String():         sim.SchedEvent,
-		sim.SchedShard.String():         sim.SchedShard,
 		sim.SchedShardAdaptive.String(): sim.SchedShardAdaptive,
 	}
 	checked := 0

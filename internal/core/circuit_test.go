@@ -197,9 +197,9 @@ func TestCircuitRepeatedMessages(t *testing.T) {
 }
 
 // TestCircuitShardFaultDelivery closes a long-standing coverage gap:
-// circuit channels under the shard scheduler, with fault injection
-// forcing the reliable layer to carry headerless raw words (whose
-// op/count ride the frame sideband — see link.encodeWord). The full
+// circuit channels under the shard-adaptive scheduler, with fault
+// injection forcing the reliable layer to carry headerless raw words
+// (whose op/count ride the frame sideband — see link.encodeWord). The full
 // cross-scheduler parity matrix for circuit and streaming channels is
 // TestStreamingSchedulerParity.
 func TestCircuitShardFaultDelivery(t *testing.T) {
@@ -211,7 +211,7 @@ func TestCircuitShardFaultDelivery(t *testing.T) {
 	c, err := NewCluster(Config{
 		Topology:  topo,
 		Program:   ProgramSpec{Ports: []PortSpec{{Port: 0, Type: Int, Circuit: true, BufferElems: 256}}},
-		Scheduler: sim.SchedShard,
+		Scheduler: sim.SchedShardAdaptive,
 		Shards:    4, // reliable clusters shard for real now: split tx/rx halves per engine
 		Faults:    &fault.Spec{Seed: 23, DropProb: 0.003, CorruptProb: 0.001},
 	})

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -544,5 +546,36 @@ func TestMaxCyclesSurfacesFromCluster(t *testing.T) {
 	})
 	if _, err := c.Run(); err == nil {
 		t.Fatal("expected cycle-limit error")
+	}
+}
+
+// TestShardCountRejected pins NewCluster's shard-count admission: a
+// count the cluster cannot honor fails the build instead of quietly
+// running some other engine layout.
+func TestShardCountRejected(t *testing.T) {
+	topo, err := topology.Bus(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		sched  sim.SchedulerKind
+		shards int
+		want   string
+	}{
+		{"negative", sim.SchedShardAdaptive, -1, "negative shard count"},
+		{"more than devices", sim.SchedShardAdaptive, 5, "exceed the cluster's 4 ranks"},
+		{"event", sim.SchedEvent, 2, "need scheduler shard-adaptive"},
+		{"dense", sim.SchedDense, 2, "need scheduler shard-adaptive"},
+	} {
+		_, err := NewCluster(Config{
+			Topology:  topo,
+			Program:   ProgramSpec{Ports: []PortSpec{{Port: 0, Type: Int}}},
+			Scheduler: tc.sched,
+			Shards:    tc.shards,
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -229,7 +229,7 @@ func TestFailoverReroutesAndRescues(t *testing.T) {
 }
 
 // TestFailoverShardParity runs the kill-mid-stream failover under the
-// sharded schedulers: the barrier-stepped coordinator must reproduce the
+// shard-adaptive scheduler: the barrier-stepped coordinator must reproduce the
 // dense fault manager cycle for cycle — death detection, route
 // regeneration, barrier-time packet rescue, and resume — with the stream
 // delivered intact and identical failover accounting.
@@ -274,7 +274,6 @@ func TestFailoverShardParity(t *testing.T) {
 		kind   sim.SchedulerKind
 		shards int
 	}{
-		{"shard", sim.SchedShard, 4},
 		{"shard-adaptive", sim.SchedShardAdaptive, 4},
 	} {
 		st := run(v.kind, v.shards)

@@ -353,8 +353,8 @@ func streamingParityRun(t *testing.T, kind sim.SchedulerKind, shards int, spec *
 		t.Fatal(err)
 	}
 	// One digest per consumer, combined in a fixed order after the run:
-	// the consumers execute concurrently (in different shards under
-	// SchedShard), so mixing into a shared accumulator would race.
+	// the consumers execute concurrently (on different engines under
+	// SchedShardAdaptive), so mixing into a shared accumulator would race.
 	var bulkDig, ctlDig uint64 = 14695981039346656037, 14695981039346656037
 	mix := func(d *uint64, v uint64) {
 		*d ^= v
@@ -406,12 +406,11 @@ func streamingParityRun(t *testing.T, kind sim.SchedulerKind, shards int, spec *
 }
 
 // TestStreamingSchedulerParity pins the determinism contract for the
-// streaming and circuit paths: dense, event, and shard schedulers (the
-// latter with several shard counts) must agree bit for bit on delivered
-// data, completion times, and cycle counts — pristine and under fault
-// injection, where the reliable layer's raw-word sideband is on the
-// line. (Satellite: circuits previously lacked shard and fault parity
-// coverage entirely.)
+// streaming and circuit paths: dense, event, and shard-adaptive
+// schedulers (the latter with several worker counts) must agree bit for
+// bit on delivered data, completion times, and cycle counts — pristine
+// and under fault injection, where the reliable layer's raw-word
+// sideband is on the line.
 func TestStreamingSchedulerParity(t *testing.T) {
 	specs := map[string]*fault.Spec{
 		"pristine": nil,
@@ -437,8 +436,8 @@ func TestStreamingSchedulerParity(t *testing.T) {
 					shards int
 				}{
 					{"event", sim.SchedEvent, 0},
-					{"shard2", sim.SchedShard, 2},
-					{"shard4", sim.SchedShard, 4},
+					{"shard-adaptive2", sim.SchedShardAdaptive, 2},
+					{"shard-adaptive4", sim.SchedShardAdaptive, 4},
 				} {
 					st, dig := streamingParityRun(t, v.kind, v.shards, spec, circuit)
 					if dig != refDig {

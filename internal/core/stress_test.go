@@ -115,14 +115,15 @@ func stressOnce(t *testing.T, seed int64) {
 	if rng.Intn(2) == 0 {
 		policy = routing.UpDown
 	}
+	tc := transport.Config{R: 1 << rng.Intn(5)}
+	if rng.Intn(2) == 0 {
+		tc.Arbiter = transport.ArbiterSkipIdle
+	}
 	c, err := NewCluster(Config{
 		Topology:      topo,
 		Program:       ProgramSpec{Ports: ports},
 		RoutingPolicy: policy,
-		Transport: transport.Config{
-			R:        1 << rng.Intn(5),
-			SkipIdle: rng.Intn(2) == 0,
-		},
+		Transport:     tc,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,7 +73,7 @@ func TestSubmitRunsJob(t *testing.T) {
 // output digest, with the shard layout visible in the returned stats.
 func TestShardJobMatchesEvent(t *testing.T) {
 	svc := newTestService(t, Config{Workers: 2})
-	shard, err := svc.Submit(JobSpec{Workload: "bcast", Ranks: 8, Size: 256, Scheduler: "shard", Shards: 4})
+	shard, err := svc.Submit(JobSpec{Workload: "bcast", Ranks: 8, Size: 256, Scheduler: "shard-adaptive", Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +218,12 @@ func TestInvalidSpecsRejectedAtSubmit(t *testing.T) {
 		{Workload: "bcast", Ranks: 9, Topology: &topology.Spec{Kind: "torus", Rows: 2, Cols: 2}},
 		{Workload: "bcast", Ranks: 4, Faults: &fault.Spec{DropProb: 2}},
 		{Workload: "summa", Ranks: 4, Faults: &fault.Spec{DropProb: 0.5}},
-		{Workload: "bcast", Ranks: 4, Scheduler: "shard"},                      // shards missing
-		{Workload: "bcast", Ranks: 4, Scheduler: "shard", Shards: -2},          // negative
-		{Workload: "bcast", Ranks: 4, Scheduler: "shard", Shards: 8},           // > ranks
-		{Workload: "bcast", Ranks: 4, Shards: 2},                               // shards without shard scheduler
 		{Workload: "bcast", Ranks: 4, Scheduler: "shard-adaptive"},             // worker slots missing
+		{Workload: "bcast", Ranks: 4, Scheduler: "shard-adaptive", Shards: -2}, // negative
+		{Workload: "bcast", Ranks: 4, Scheduler: "shard-adaptive", Shards: 8},  // > ranks
+		{Workload: "bcast", Ranks: 4, Shards: 2},                               // shards without shard scheduler
+		{Workload: "bcast", Ranks: 4, Scheduler: "dense"},                      // test oracle, not a knob
+		{Workload: "bcast", Ranks: 4, Scheduler: "shard", Shards: 2},           // removed fixed-window scheduler
 		{Workload: "bandwidth", Ranks: 4, Mode: "teleport"},                    // unknown mode
 		{Workload: "bcast", Ranks: 4, Mode: "streaming"},                       // mode-less workload
 		{Workload: "bcast", Ranks: 4, BufferElems: 64},                         // knob on mode-less workload
@@ -238,6 +240,13 @@ func TestInvalidSpecsRejectedAtSubmit(t *testing.T) {
 	for i, spec := range cases {
 		if _, err := svc.Submit(spec); !IsKind(err, InvalidSpec) {
 			t.Errorf("case %d (%+v): err = %v, want InvalidSpec", i, spec, err)
+		}
+	}
+	// Retired scheduler names are refused with the accepted values.
+	for _, name := range []string{"dense", "shard"} {
+		_, err := svc.Submit(JobSpec{Workload: "bcast", Ranks: 4, Scheduler: name})
+		if err == nil || !strings.Contains(err.Error(), "have event, shard-adaptive") {
+			t.Errorf("scheduler %q: err = %v, want the accepted values listed", name, err)
 		}
 	}
 	if got := svc.Stats().Jobs; len(got) != 0 {

@@ -35,18 +35,15 @@ type JobSpec struct {
 	Topology *topology.Spec `json:"topology,omitempty"`
 	// RoutingPolicy is "shortest-path" (default) or "updown".
 	RoutingPolicy string `json:"routing_policy,omitempty"`
-	// Scheduler is "event" (default), "dense", "shard" (conservative
-	// parallel simulation, one engine per shard of ranks), or
-	// "shard-adaptive" (one engine per rank multiplexed onto Shards
-	// worker slots with per-boundary lookahead and deterministic work
-	// stealing).
+	// Scheduler is "event" (default) or "shard-adaptive" (one engine per
+	// rank multiplexed onto Shards worker slots with per-boundary
+	// lookahead and deterministic work stealing). The dense reference
+	// scan is a test oracle, not a service knob.
 	Scheduler string `json:"scheduler,omitempty"`
-	// Shards is the parallelism for the sharded schedulers: required to
-	// be in [1, ranks] when Scheduler is "shard" or "shard-adaptive"
-	// (engine count for "shard", worker-slot count for
-	// "shard-adaptive"), and must be left zero otherwise. Fault-injected
-	// jobs shard like any other: the reliable links split into
-	// per-engine transmit/receive halves.
+	// Shards is the worker-slot count of a "shard-adaptive" job: required
+	// to be in [1, ranks] under that scheduler, and must be left zero
+	// otherwise. Fault-injected jobs shard like any other: the reliable
+	// links split into per-engine transmit/receive halves.
 	Shards int `json:"shards,omitempty"`
 	// Faults attaches a deterministic fault-injection schedule.
 	Faults *fault.Spec `json:"faults,omitempty"`
@@ -91,14 +88,10 @@ func parseScheduler(s string) (sim.SchedulerKind, error) {
 	switch s {
 	case "", "event":
 		return sim.SchedEvent, nil
-	case "dense":
-		return sim.SchedDense, nil
-	case "shard":
-		return sim.SchedShard, nil
 	case "shard-adaptive":
 		return sim.SchedShardAdaptive, nil
 	default:
-		return 0, fmt.Errorf("unknown scheduler %q (have event, dense, shard, shard-adaptive)", s)
+		return 0, fmt.Errorf("unknown scheduler %q (have event, shard-adaptive)", s)
 	}
 }
 
@@ -156,7 +149,7 @@ func (s *JobSpec) resolve() (resolved, error) {
 	if r.sched, err = parseScheduler(s.Scheduler); err != nil {
 		return r, errf(InvalidSpec, "%v", err)
 	}
-	if r.sched == sim.SchedShard || r.sched == sim.SchedShardAdaptive {
+	if r.sched == sim.SchedShardAdaptive {
 		switch {
 		case s.Shards <= 0:
 			return r, errf(InvalidSpec, "scheduler %q needs a positive shard count, got %d", s.Scheduler, s.Shards)
@@ -165,7 +158,7 @@ func (s *JobSpec) resolve() (resolved, error) {
 		}
 		r.shards = s.Shards
 	} else if s.Shards != 0 {
-		return r, errf(InvalidSpec, "shards is only valid with scheduler \"shard\" or \"shard-adaptive\", got shards=%d with scheduler %q", s.Shards, s.Scheduler)
+		return r, errf(InvalidSpec, "shards is only valid with scheduler \"shard-adaptive\", got shards=%d with scheduler %q", s.Shards, s.Scheduler)
 	}
 	if s.Topology != nil {
 		if r.topo, err = s.Topology.Build(); err != nil {

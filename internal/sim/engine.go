@@ -286,7 +286,7 @@ func (e *Engine) Run() error {
 	if e.sched == SchedDense {
 		return e.runDense()
 	}
-	// SchedShard on a lone engine is the event scheduler; the
+	// SchedShardAdaptive on a lone engine is the event scheduler; the
 	// parallelism lives in the Group driver (shard.go).
 	return e.runEvent()
 }
@@ -296,20 +296,14 @@ func (e *Engine) Run() error {
 // event scheduler must match cycle for cycle.
 func (e *Engine) runDense() error {
 	for {
-		if e.windowed {
-			if e.now >= e.horizon {
-				return nil
-			}
-		} else {
-			if e.finished == len(e.procs) && len(e.procs) > 0 {
-				return e.drain()
-			}
-			if e.now >= e.maxCycles {
-				e.stopProcs()
-				return maxCyclesErr(e.maxCycles)
-			}
-			e.maybeProgress()
+		if e.finished == len(e.procs) && len(e.procs) > 0 {
+			return e.drain()
 		}
+		if e.now >= e.maxCycles {
+			e.stopProcs()
+			return maxCyclesErr(e.maxCycles)
+		}
+		e.maybeProgress()
 		e.executed++
 		active := false
 
@@ -383,21 +377,10 @@ func (e *Engine) runDense() error {
 
 		// Phase 4: termination and fast-forward.
 		e.phase = phaseIdle
-		e.windowIdleUntil = e.now + 1
 		if !active {
 			next, sleeping := e.nextWake()
 			if kd, ok := e.denseKernelDeadline(); ok && (!sleeping || kd < next) {
 				next, sleeping = kd, true
-			}
-			if sleeping {
-				e.windowIdleUntil = next
-			} else {
-				e.windowIdleUntil = Never
-			}
-			if e.windowed && (!sleeping || next > e.horizon) {
-				// Quiescent through the window boundary; resume decisions
-				// belong to the group.
-				next, sleeping = e.horizon, true
 			}
 			switch {
 			case sleeping:
@@ -563,12 +546,7 @@ func (e *Engine) startAll() {
 func (e *Engine) runWindow(horizon int64) error {
 	e.windowed = true
 	e.horizon = horizon
-	var err error
-	if e.sched == SchedDense {
-		err = e.runDense()
-	} else {
-		err = e.runEvent()
-	}
+	err := e.runEvent()
 	if err == nil && e.now < horizon {
 		// A clean early return cannot happen (the loops only return at
 		// the horizon), but keep the clock consistent defensively.

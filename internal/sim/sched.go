@@ -25,22 +25,15 @@ const (
 	SchedEvent SchedulerKind = iota
 	// SchedDense is the reference dense-scan scheduler.
 	SchedDense
-	// SchedShard is the conservative parallel scheduler: the cluster is
-	// partitioned into per-rank shards (one Engine each) that advance
-	// independently up to the link-latency lookahead horizon and exchange
-	// link traffic only at boundary synchronizations (see Group). A
-	// single engine given SchedShard behaves exactly like SchedEvent;
-	// the parallelism lives in the Group driver.
-	SchedShard
 	// SchedShardAdaptive is the adaptive-lookahead parallel scheduler:
-	// instead of one global barrier cadence derived from the smallest
-	// boundary latency, every engine advances to its own horizon — the
-	// minimum over its incoming boundaries of the producer's lower-bound
-	// clock plus that boundary's latency (a per-edge null-message bound).
-	// Engines are owned by a worker pool that rebalances ownership at
-	// round boundaries with a deterministic work-stealing rule (see
-	// Group). A single engine given SchedShardAdaptive behaves exactly
-	// like SchedEvent.
+	// the cluster is split into per-rank engines that exchange link
+	// traffic only through boundary queues, and every engine advances to
+	// its own horizon — the minimum over its incoming boundaries of the
+	// producer's lower-bound clock plus that boundary's latency (a
+	// per-edge null-message bound). Engines are owned by a worker pool
+	// that rebalances ownership at round boundaries with a deterministic
+	// work-stealing rule (see Group). A single engine given
+	// SchedShardAdaptive behaves exactly like SchedEvent.
 	SchedShardAdaptive
 )
 
@@ -48,8 +41,6 @@ func (k SchedulerKind) String() string {
 	switch k {
 	case SchedDense:
 		return "dense"
-	case SchedShard:
-		return "shard"
 	case SchedShardAdaptive:
 		return "shard-adaptive"
 	default:
@@ -85,44 +76,42 @@ type IdleUntiler interface {
 // form is part of the stats schema smid serves and smibench -json
 // emits.
 type SchedStats struct {
-	Scheduler      string `json:"scheduler"`       // "dense", "event", "shard", or "shard-adaptive"
+	Scheduler      string `json:"scheduler"`       // "dense", "event", or "shard-adaptive"
 	Cycles         int64  `json:"cycles"`          // final simulated cycle count
 	CyclesExecuted int64  `json:"cycles_executed"` // cycles the engine actually iterated
 	CyclesSkipped  int64  `json:"cycles_skipped"`  // cycles fast-forwarded over
 	ProcSteps      int64  `json:"proc_steps"`      // proc resumptions
 	KernelTicks    int64  `json:"kernel_ticks"`    // Kernel.Tick invocations
 	FifoCommits    int64  `json:"fifo_commits"`    // commit calls that published writes
-	// Shards is the number of engine shards the run used (0 or 1 for a
+	// Shards is the number of worker slots the run used (0 or 1 for a
 	// single-engine run), and Syncs the number of boundary
-	// synchronizations the shard group performed.
+	// synchronizations the engine group performed.
 	Shards int   `json:"shards,omitempty"`
 	Syncs  int64 `json:"syncs,omitempty"`
-	// Windows counts engine-window executions across the run (adaptive
-	// runs execute one window per engine with pending work per round;
-	// fixed-window runs execute one window per shard per sync). Steals
-	// counts rank-engine ownership moves performed by the deterministic
-	// work-stealing rebalancer (shard-adaptive only).
+	// Windows counts engine-window executions across the run (one per
+	// engine with pending work per round). Steals counts rank-engine
+	// ownership moves performed by the deterministic work-stealing
+	// rebalancer.
 	Windows int64 `json:"windows,omitempty"`
 	Steals  int64 `json:"steals,omitempty"`
-	// PerShard breaks the effort counters down by shard for sharded
-	// runs (shard-local work is the load-balance signal). Under
-	// shard-adaptive scheduling a "shard" is a worker slot and the row
-	// aggregates the engines it owned when the run ended.
+	// PerShard breaks the effort counters down by worker slot for
+	// sharded runs (slot-local work is the load-balance signal); each row
+	// aggregates the engines the slot owned when the run ended.
 	PerShard []ShardEffort `json:"per_shard,omitempty"`
 }
 
-// ShardEffort is one shard's slice of the group effort counters.
+// ShardEffort is one worker slot's slice of the group effort counters.
 type ShardEffort struct {
 	Shard          int   `json:"shard"`
-	Procs          int   `json:"procs"` // simulated processes hosted by this shard
+	Procs          int   `json:"procs"` // simulated processes hosted by this slot
 	CyclesExecuted int64 `json:"cycles_executed"`
 	CyclesSkipped  int64 `json:"cycles_skipped"`
 	ProcSteps      int64 `json:"proc_steps"`
 	KernelTicks    int64 `json:"kernel_ticks"`
 	FifoCommits    int64 `json:"fifo_commits"`
 	Syncs          int64 `json:"syncs"`
-	// Windows counts engine windows this shard executed; Steals counts
-	// engines stolen into this worker slot (shard-adaptive only).
+	// Windows counts engine windows this slot executed; Steals counts
+	// engines stolen into it.
 	Windows int64 `json:"windows,omitempty"`
 	Steals  int64 `json:"steals,omitempty"`
 }
